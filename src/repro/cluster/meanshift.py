@@ -6,7 +6,9 @@ set being explored ... until the window is centered on a region of
 maximum density"; it is non-parametric — no a-priori cluster count.
 
 This is the paper's single-node implementation for two-dimensional data
-(Section 3.1), vectorized with NumPy:
+(Section 3.1), vectorized with NumPy — all of a run's window searches
+advance together, one blocked sweep per iteration, and the grid scans
+group cells with sorted reductions:
 
 * a *kernel* (shape function) weights the window — Gaussian by default
   ("gives greater weight to points nearer the center; this effectively
@@ -107,6 +109,8 @@ def _as_points(data: np.ndarray) -> np.ndarray:
     pts = np.asarray(data, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise TBONError(f"mean-shift expects (n, 2) data, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise TBONError("mean-shift data must be finite")
     return pts
 
 
@@ -116,9 +120,50 @@ def _as_weights(weights: np.ndarray | None, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64).ravel()
     if len(w) != n:
         raise TBONError(f"weights length {len(w)} != point count {n}")
+    if not np.isfinite(w).all():
+        raise TBONError("weights must be finite")
     if np.any(w < 0):
         raise TBONError("weights must be non-negative")
     return w
+
+
+def _as_starts(starts: np.ndarray) -> np.ndarray:
+    s = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
+    if not np.isfinite(s).all():
+        raise TBONError("mean-shift starts must be finite")
+    return s
+
+
+def _check_window(bandwidth: float, kernel: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Validate the search window and return its shape function."""
+    if not bandwidth > 0:
+        raise TBONError(f"bandwidth must be positive, got {bandwidth}")
+    if kernel not in KERNELS:
+        raise TBONError(f"unknown kernel {kernel!r}; options: {sorted(KERNELS)}")
+    return KERNELS[kernel]
+
+
+def _grid_collapse(
+    pts: np.ndarray, w: np.ndarray, cell: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted center of mass and total weight of every occupied cell.
+
+    Cells come out in lexicographic (x-cell, y-cell) order.  A cell whose
+    total weight is zero is represented by the plain mean of its points.
+    """
+    cells = np.floor(pts / cell).astype(np.int64)
+    order = np.lexsort((cells[:, 1], cells[:, 0]))
+    sc, sp, sw = cells[order], pts[order], w[order]
+    boundaries = np.any(sc[1:] != sc[:-1], axis=1)
+    first = np.concatenate(([0], np.nonzero(boundaries)[0] + 1))
+    totals = np.add.reduceat(sw, first)
+    moments = np.add.reduceat(sp * sw[:, None], first, axis=0)
+    empty = totals <= 0
+    if empty.any():
+        counts = np.diff(np.append(first, len(sp)))
+        moments[empty] = np.add.reduceat(sp, first, axis=0)[empty]
+        return moments / np.where(empty, counts, totals)[:, None], totals
+    return moments / totals[:, None], totals
 
 
 def density_starts(
@@ -151,23 +196,8 @@ def density_starts(
     if cell_size <= 0:
         raise TBONError(f"scan cell must be positive, got {cell_size}")
     w = _as_weights(weights, len(pts))
-    cells = np.floor(pts / cell_size).astype(np.int64)
-    # Group points by cell via lexicographic sort.
-    order = np.lexsort((cells[:, 1], cells[:, 0]))
-    sorted_cells = cells[order]
-    sorted_pts = pts[order]
-    sorted_w = w[order]
-    boundaries = np.any(np.diff(sorted_cells, axis=0) != 0, axis=1)
-    group_starts = np.concatenate(([0], np.nonzero(boundaries)[0] + 1, [len(pts)]))
-    starts = []
-    for a, b in zip(group_starts[:-1], group_starts[1:]):
-        cell_w = sorted_w[a:b]
-        total = cell_w.sum()
-        if total >= density_threshold:
-            starts.append((sorted_pts[a:b] * cell_w[:, None]).sum(axis=0) / total)
-    if not starts:
-        return np.empty((0, 2))
-    return np.asarray(starts)
+    centers, totals = _grid_collapse(pts, w, cell_size)
+    return centers[totals >= density_threshold]
 
 
 def collapse_points(
@@ -191,22 +221,72 @@ def collapse_points(
         return np.empty((0, 2)), np.empty(0)
     if cell <= 0:
         raise TBONError(f"cell must be positive, got {cell}")
-    w = _as_weights(weights, len(pts))
-    cells = np.floor(pts / cell).astype(np.int64)
-    order = np.lexsort((cells[:, 1], cells[:, 0]))
-    sc, sp, sw = cells[order], pts[order], w[order]
-    boundaries = np.any(np.diff(sc, axis=0) != 0, axis=1)
-    starts = np.concatenate(([0], np.nonzero(boundaries)[0] + 1, [len(sp)]))
-    reps = np.empty((len(starts) - 1, 2))
-    rep_w = np.empty(len(starts) - 1)
-    for i, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
-        cw = sw[a:b]
-        total = cw.sum()
-        rep_w[i] = total
-        reps[i] = (
-            (sp[a:b] * cw[:, None]).sum(axis=0) / total if total > 0 else sp[a:b].mean(axis=0)
-        )
-    return reps, rep_w
+    return _grid_collapse(pts, _as_weights(weights, len(pts)), cell)
+
+
+#: Upper bound on the start x point elements one sweep of the batched
+#: search holds at once.  Each sweep allocates a few float64 temporaries
+#: of this many elements, so the search's working set stays well under
+#: a megabyte however many starts a density scan seeds; a parent's merge
+#: (tens of starts over a few hundred collapsed points) fits one block.
+BLOCK_ELEMS = 8192
+
+
+def _search_all(
+    pts: np.ndarray,
+    pw: np.ndarray,
+    starts: np.ndarray,
+    bandwidth: float,
+    kfn: Callable[[np.ndarray], np.ndarray],
+    max_iter: int,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shift every start to its density mode; return modes and iterations.
+
+    All still-moving windows advance together: one iteration is one
+    NumPy sweep per block of at most :data:`BLOCK_ELEMS` start x point
+    elements.  Each start keeps its own stopping rule — it leaves the
+    active set once its shift drops below ``tol``, or stays where it is
+    when its window is empty (no density information), that iteration
+    counted — so modes and per-start iteration counts are those of
+    independent searches.  Every reduction runs along one start's row,
+    so a start's trajectory does not depend on which others share its
+    block.
+    """
+    modes = np.array(starts, dtype=np.float64)
+    iters = np.zeros(len(modes), dtype=np.int64)
+    px, py = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
+    rows = max(1, BLOCK_ELEMS // max(1, len(pts)))
+    active = np.arange(len(modes))
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        iters[active] += 1
+        moving = []
+        for lo in range(0, active.size, rows):
+            idx = active[lo : lo + rows]
+            c = modes[idx]
+            # u = distance / bandwidth, built in place to bound temporaries.
+            u = px - c[:, :1]
+            dy = py - c[:, 1:]
+            u *= u
+            dy *= dy
+            u += dy
+            np.sqrt(u, out=u)
+            u /= bandwidth
+            w = kfn(u)
+            w *= pw
+            total = w.sum(axis=1)
+            found = total > 0
+            new = np.stack(((w * px).sum(axis=1), (w * py).sum(axis=1)), axis=1)
+            new = new[found] / total[found, None]
+            step = new - c[found]
+            shift = np.sqrt((step * step).sum(axis=1))
+            idx = idx[found]
+            modes[idx] = new
+            moving.append(idx[shift >= tol])
+        active = np.concatenate(moving)
+    return modes, iters
 
 
 def mean_shift_search(
@@ -226,32 +306,22 @@ def mean_shift_search(
     shift density estimator calculates a vector that will move the
     current centroid toward higher density areas").  Stops when the
     shift magnitude drops below ``tol`` ("successive iterations do not
-    yield a new centroid") or after ``max_iter`` iterations.
+    yield a new centroid"), when the window holds no weight, or after
+    ``max_iter`` iterations.  This is :func:`mean_shift`'s batched
+    search run for a single start.
 
     Returns the converged centroid and the iteration count.
     """
     pts = _as_points(data)
-    if kernel not in KERNELS:
-        raise TBONError(f"unknown kernel {kernel!r}; options: {sorted(KERNELS)}")
-    kfn = KERNELS[kernel]
+    kfn = _check_window(bandwidth, kernel)
     pw = _as_weights(weights, len(pts))
-    centroid = np.asarray(start, dtype=np.float64).copy()
+    centroid = np.asarray(start, dtype=np.float64)
     if centroid.shape != (2,):
         raise TBONError(f"start must be a 2-vector, got shape {centroid.shape}")
-    iters = 0
-    for _ in range(max_iter):
-        iters += 1
-        d = np.linalg.norm(pts - centroid, axis=1)
-        w = kfn(d / bandwidth) * pw
-        total = w.sum()
-        if total <= 0:
-            break  # empty window: no density information here
-        new_centroid = (pts * w[:, None]).sum(axis=0) / total
-        shift = np.linalg.norm(new_centroid - centroid)
-        centroid = new_centroid
-        if shift < tol:
-            break
-    return centroid, iters
+    modes, iters = _search_all(
+        pts, pw, _as_starts(centroid), bandwidth, kfn, max_iter, tol
+    )
+    return modes[0], int(iters[0])
 
 
 def merge_peaks(peaks: np.ndarray, radius: float) -> np.ndarray:
@@ -302,29 +372,18 @@ def mean_shift(
         weights: optional per-point multiplicities (collapsed data).
     """
     pts = _as_points(data)
+    kfn = _check_window(bandwidth, kernel)
+    pw = _as_weights(weights, len(pts))
     scanned = 0
     if starts is None:
-        start_arr = density_starts(pts, bandwidth, density_threshold, weights=weights)
+        start_arr = density_starts(pts, bandwidth, density_threshold, weights=pw)
         scanned = len(pts)
     else:
-        start_arr = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
-    peaks = []
-    total_iters = 0
-    point_iter = 0
-    for s in start_arr:
-        mode, iters = mean_shift_search(
-            pts,
-            s,
-            bandwidth=bandwidth,
-            kernel=kernel,
-            max_iter=max_iter,
-            tol=tol,
-            weights=weights,
-        )
-        peaks.append(mode)
-        total_iters += iters
-        point_iter += iters * len(pts)
-    merged = merge_peaks(np.asarray(peaks).reshape(-1, 2), radius=bandwidth / 2)
+        start_arr = _as_starts(starts)
+    peaks, iters = _search_all(pts, pw, start_arr, bandwidth, kfn, max_iter, tol)
+    total_iters = int(iters.sum())
+    point_iter = total_iters * len(pts)
+    merged = merge_peaks(peaks, radius=bandwidth / 2)
     return MeanShiftResult(
         peaks=merged,
         starts=start_arr,

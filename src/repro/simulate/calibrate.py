@@ -7,11 +7,14 @@ so that simulated series are honest rescalings of real compute, not
 invented numbers.
 
 :func:`calibrate_mean_shift` times the actual NumPy kernels
-(:func:`repro.cluster.meanshift.mean_shift_search`,
+(:func:`repro.cluster.meanshift.mean_shift` for a seeded parent merge,
 :func:`~repro.cluster.meanshift.density_starts`,
-:func:`~repro.cluster.meanshift.collapse_points`) and a real leaf and
-merge step on probe data, yielding a :class:`MeanShiftCostModel` whose
-predictions drive :class:`repro.simulate.simnet.SimTBON`.
+:func:`~repro.cluster.meanshift.collapse_points`) and a real leaf step
+on probe data, yielding a :class:`MeanShiftCostModel` whose predictions
+drive :class:`repro.simulate.simnet.SimTBON`.  ``mean_shift`` runs all of
+a merge's window searches as one batched sweep per iteration, so
+``per_point_iter`` is the merge's time divided by its summed
+point x iteration work, not the cost of one search's iteration.
 
 :data:`REFERENCE_MODEL` is a frozen calibration (recorded from a
 development machine) used by unit tests so they stay timing-independent;

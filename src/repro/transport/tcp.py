@@ -600,3 +600,8 @@ class TCPTransport(_EdgeRepairMixin, Transport):
             srv.close()
         for inbox in self._inboxes.values():
             inbox.close()
+        # Closing wakes every reader; wait (bounded) until they have
+        # exited, so no reader of this transport outlives its shutdown.
+        deadline = time.monotonic() + self.connect_timeout
+        for conn in self._conns.values():
+            conn.reader.join(max(0.0, deadline - time.monotonic()))

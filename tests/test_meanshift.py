@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 from repro.core.errors import TBONError
 from repro.cluster.datagen import ClusterSpec, full_dataset, leaf_dataset, make_clusters
 from repro.cluster.meanshift import (
+    BLOCK_ELEMS,
     KERNELS,
+    _search_all,
     assign_labels,
     collapse_points,
     density_starts,
@@ -181,6 +185,45 @@ class TestFullPipeline:
         with pytest.raises(TBONError):
             mean_shift(np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("starts", [None, np.empty((0, 2)), np.array([[1.0, 1.0]])])
+    @pytest.mark.parametrize(
+        "window", [{"bandwidth": 0.0}, {"bandwidth": -5.0}, {"kernel": "wat"}]
+    )
+    def test_bad_window_rejected_before_any_search(self, two_blobs, starts, window):
+        """An empty start set used to let these through; a seeded one gave NaN."""
+        with pytest.raises(TBONError):
+            mean_shift(two_blobs, starts=starts, **window)
+
+    @pytest.mark.parametrize("field", ["data", "weights", "starts"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, two_blobs, field, bad):
+        args = {
+            "data": two_blobs.copy(),
+            "weights": np.ones(len(two_blobs)),
+            "starts": two_blobs[:3].copy(),
+        }
+        args[field].flat[1] = bad
+        with pytest.raises(TBONError):
+            mean_shift(args["data"], starts=args["starts"], weights=args["weights"])
+
+    def test_search_working_set_is_bounded(self):
+        """Search temporaries scale with BLOCK_ELEMS, not starts x points."""
+        data = leaf_dataset(0, ClusterSpec(), seed=1)  # 2040 points
+        rng = np.random.default_rng(0)
+
+        def peak_bytes(m):
+            starts = data[rng.integers(0, len(data), m)]
+            tracemalloc.start()
+            try:
+                mean_shift(data, starts=starts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak_bytes(30), peak_bytes(300)
+        assert many < 2 * 2**20, many  # an unblocked 300 x 2040 sweep needs ~25 MB
+        assert many < few + 64 * 1024, (few, many)
+
 
 class TestAssignLabels:
     def test_nearest_peak(self):
@@ -245,3 +288,99 @@ def test_property_search_stays_in_hull(seed):
     mode, _ = mean_shift_search(pts, start, bandwidth=60.0)
     assert pts[:, 0].min() - 1e-6 <= mode[0] <= pts[:, 0].max() + 1e-6
     assert pts[:, 1].min() - 1e-6 <= mode[1] <= pts[:, 1].max() + 1e-6
+
+
+# -- equivalence with the per-start and per-cell loops -----------------------
+
+
+def naive_search(pts, start, bandwidth, kernel, pw, max_iter=100, tol=1e-3):
+    """One window at a time: the reference for the batched search."""
+    kfn = KERNELS[kernel]
+    centroid = np.asarray(start, dtype=np.float64).copy()
+    iters = 0
+    for _ in range(max_iter):
+        iters += 1
+        d = np.linalg.norm(pts - centroid, axis=1)
+        w = kfn(d / bandwidth) * pw
+        total = w.sum()
+        if total <= 0:
+            break  # empty window: stays where it is
+        new_centroid = (pts * w[:, None]).sum(axis=0) / total
+        shift = np.linalg.norm(new_centroid - centroid)
+        centroid = new_centroid
+        if shift < tol:
+            break
+    return centroid, iters
+
+
+def naive_cells(pts, w, cell):
+    """One cell at a time: (center, total weight) per occupied cell, sorted."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(pts):
+        groups.setdefault(tuple(np.floor(p / cell).astype(np.int64)), []).append(i)
+    centers, totals = [], []
+    for members in (groups[k] for k in sorted(groups)):
+        cw, cp = w[members], pts[members]
+        total = cw.sum()
+        mean = (cp * cw[:, None]).sum(axis=0) / total if total > 0 else cp.mean(axis=0)
+        centers.append(mean)
+        totals.append(total)
+    return np.asarray(centers).reshape(-1, 2), np.asarray(totals)
+
+
+def _clustered(rng, n):
+    centers = rng.uniform(0, 500, size=(4, 2))
+    return centers[rng.integers(0, 4, n)] + rng.normal(0, 30, size=(n, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=60, max_value=300),
+    extra_starts=st.integers(min_value=1, max_value=40),
+    kernel=st.sampled_from(sorted(KERNELS)),
+    bandwidth=st.floats(min_value=10.0, max_value=120.0),
+)
+def test_property_batched_search_matches_per_start_loop(
+    seed, n, extra_starts, kernel, bandwidth
+):
+    rng = np.random.default_rng(seed)
+    pts = _clustered(rng, n)
+    pw = rng.uniform(0.0, 3.0, size=n)
+    m = BLOCK_ELEMS // n + extra_starts  # more starts than one block holds
+    starts = pts[rng.integers(0, n, m)] + rng.normal(0, bandwidth / 2, size=(m, 2))
+    starts[0] = (1e6, 1e6)  # empty window under every kernel
+    modes, iters = _search_all(pts, pw, starts, bandwidth, KERNELS[kernel], 100, 1e-3)
+    for s, mode, it in zip(starts, modes, iters):
+        want, want_it = naive_search(pts, s, bandwidth, kernel, pw)
+        assert it == want_it
+        assert np.abs(mode - want).max() <= 1e-9
+    assert iters[0] == 1 and np.array_equal(modes[0], starts[0])
+    one, one_it = mean_shift_search(pts, starts[1], bandwidth, kernel, weights=pw)
+    assert one_it == iters[1] and np.array_equal(one, modes[1])
+    res = mean_shift(pts, bandwidth, kernel, starts=starts, weights=pw)
+    assert res.iterations == iters.sum()
+    assert res.point_iter_products == iters.sum() * n
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=300),
+    cell=st.floats(min_value=2.0, max_value=100.0),
+    threshold=st.floats(min_value=0.5, max_value=6.0),
+)
+def test_property_grid_grouping_matches_per_cell_loop(seed, n, cell, threshold):
+    rng = np.random.default_rng(seed)
+    pts = _clustered(rng, n)
+    w = rng.uniform(0.0, 3.0, size=n)
+    w[rng.random(n) < 0.2] = 0.0  # zero-weight cells fall back to the plain mean
+    want_centers, want_totals = naive_cells(pts, w, cell)
+    reps, rep_w = collapse_points(pts, w, cell=cell)
+    assert reps.shape == want_centers.shape
+    assert np.abs(reps - want_centers).max() <= 1e-9
+    assert np.abs(rep_w - want_totals).max() <= 1e-9
+    starts = density_starts(pts, 5 * cell, threshold, weights=w)
+    dense = want_totals >= threshold
+    assert starts.shape == (dense.sum(), 2)
+    assert np.abs(starts - want_centers[dense]).max(initial=0.0) <= 1e-9

@@ -13,6 +13,7 @@ from repro.cluster.meanshift_filter import (
     MeanShiftFilter,
     leaf_mean_shift,
 )
+from repro.core.errors import TBONError
 from repro.core.filters import FilterContext
 from repro.core.packet import Packet
 
@@ -82,6 +83,16 @@ class TestFilterMerge:
         )
         (out,) = f.execute([empty, leaf_packet(0)], FilterContext(n_children=2))
         assert len(out.values[2]) >= 1
+
+    def test_nan_weight_rejected(self):
+        """Merge data arrives over sockets: one NaN weight must not pass."""
+        f = MeanShiftFilter(bandwidth=50.0)
+        d, w, pk = leaf_packet(0).values
+        w = w.copy()
+        w[len(w) // 2] = np.nan
+        bad = Packet(1, TAG, MEANSHIFT_FMT, (d, w, pk), src=100)
+        with pytest.raises(TBONError, match="finite"):
+            f.transform([bad, leaf_packet(1)], FilterContext(n_children=2))
 
     def test_collapse_off_grows_data(self):
         f = MeanShiftFilter(bandwidth=50.0, collapse_cell=0)

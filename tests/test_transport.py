@@ -147,6 +147,13 @@ class TestTCPTransport:
         with pytest.raises(ChannelClosedError):
             t.send(1, 0, Direction.UPSTREAM, make_packet(1, 100, "%d", 1))
 
+    def test_shutdown_waits_for_readers(self):
+        t = TCPTransport()
+        t.bind(balanced_topology(2, 2))
+        readers = [conn.reader for conn in t._conns.values()]
+        t.shutdown()
+        assert readers and not any(r.is_alive() for r in readers)
+
     def test_bidirectional_edges(self, bound):
         down = make_packet(1, 100, "%s", "down")
         up = make_packet(1, 100, "%s", "up")
