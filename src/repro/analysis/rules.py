@@ -349,6 +349,7 @@ _PACKET_FROZEN_ATTRS = frozenset(
         "trace",
         "_values",
         "_ref",
+        "_payload",
         "_frame",
         "_frame_hops",
     }

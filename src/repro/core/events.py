@@ -97,14 +97,18 @@ class Direction(Enum):
 
     @classmethod
     def from_wire(cls, code: int) -> "Direction":
-        """Inverse of :attr:`wire_code` for frame decoding."""
+        """Inverse of :attr:`wire_code` for frame decoding.
+
+        The code comes off the wire, so an unknown one is a malformed
+        frame: :class:`SerializationError`, like every other decode error.
+        """
         if code == 0:
             return cls.UPSTREAM
         if code == 1:
             return cls.DOWNSTREAM
-        from .errors import ProtocolError
+        from .errors import SerializationError
 
-        raise ProtocolError(f"unknown wire direction code {code!r}")
+        raise SerializationError(f"unknown wire direction code {code!r}")
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,17 @@ no longer referenced".  :class:`PayloadRef` reproduces that design: when
 an internal node multicasts a packet to *k* children, all *k* channel
 entries share one serialized buffer; the buffer's serialization happens
 at most once, and explicit reference counts (observable via
-:class:`PacketStats`) let tests assert the single-copy property.
+:class:`PacketStats`) let tests assert the single-copy property.  A
+packet that is never multicast never creates one: its payload bytes are
+memoized on the packet itself.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass, field
+from functools import lru_cache
+from threading import get_ident
 from typing import Any, Iterable, Sequence
 
 from ..analysis.locks import make_lock
@@ -41,34 +44,60 @@ HEADER_FMT = "%d %d %d %d %s"
 
 _LEN = struct.Struct("<I")
 
-#: Escape hatch for benchmarking the pre-memoization data plane; leave
-#: True in production code.  (See ``benchmarks/bench_fastpath.py``.)
-FRAME_CACHE_ENABLED = True
+#: :data:`HEADER_FMT` compiled by hand: stream id, tag, src, hops, then
+#: the byte length of the UTF-8 format string that follows.  One pack
+#: gives the same bytes as ``pack_payload(HEADER_FMT, ...)``.
+_HEADER = struct.Struct("<qqqqI")
 
 _frame_cache_hits = _TELEMETRY.counter("tbon_frame_cache_total", {"result": "hit"})
 _frame_cache_misses = _TELEMETRY.counter("tbon_frame_cache_total", {"result": "miss"})
 
 
-@dataclass
+@lru_cache(maxsize=1024)
+def _fmt_to_wire(fmt: str) -> bytes:
+    return fmt.encode("utf-8")
+
+
+@lru_cache(maxsize=1024)
+def _fmt_from_wire(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"packet format string is not UTF-8: {exc}") from exc
+
+
 class PacketStats:
     """Counters for payload-buffer behaviour (zero-copy accounting).
 
     Attributes:
         serializations: number of times a payload was packed to bytes.
-        buffers_live: number of PayloadRef buffers currently referenced.
         max_refcount: the largest refcount ever observed on one buffer
             (``k`` after a k-way multicast that shared a single buffer).
     """
 
-    serializations: int = 0
-    buffers_live: int = 0
-    max_refcount: int = 0
-    _lock: Any = field(default_factory=lambda: make_lock("packet_stats"), repr=False)
+    def __init__(self) -> None:
+        # Packs per thread id: every thread adds to its own entry, so the
+        # per-packet count needs no lock (same scheme as the telemetry
+        # counters).
+        self._packs: dict[int, int] = {}
+        self.max_refcount = 0
+        self._lock = make_lock("packet_stats")
+
+    @property
+    def serializations(self) -> int:
+        return sum(self._packs.values())
+
+    def count_pack(self) -> None:
+        packs = self._packs
+        tid = get_ident()
+        try:
+            packs[tid] += 1
+        except KeyError:
+            packs[tid] = 1
 
     def reset(self) -> None:
         with self._lock:
-            self.serializations = 0
-            self.buffers_live = 0
+            self._packs.clear()
             self.max_refcount = 0
 
 
@@ -76,27 +105,35 @@ class PacketStats:
 GLOBAL_PACKET_STATS = PacketStats()
 
 
+def _pack_counted(fmt: str, values: Sequence[Any]) -> bytes:
+    """Pack one payload; the only place a payload is serialized."""
+    buf = pack_payload(fmt, values)
+    GLOBAL_PACKET_STATS.count_pack()
+    return buf
+
+
 class PayloadRef:
     """A reference-counted serialized payload buffer.
 
-    The buffer is created lazily on first :meth:`serialize` and shared by
-    every holder; :meth:`incref`/:meth:`decref` track ownership the same
-    way MRNet's counted packet references do.  When the count reaches
-    zero the buffer is dropped (Python's GC would reclaim it anyway — the
-    explicit count exists so the single-serialization invariant is
-    observable and testable).
+    The buffer is created lazily on first :meth:`serialize` (or handed
+    over by a packet that already packed it) and shared by every holder;
+    :meth:`incref`/:meth:`decref` track ownership the same way MRNet's
+    counted packet references do.  When the count reaches zero the
+    buffer is dropped (Python's GC would reclaim it anyway — the explicit
+    count exists so the single-serialization invariant is observable and
+    testable).
     """
 
     __slots__ = ("_fmt", "_values", "_buffer", "_refcount", "_lock")
 
-    def __init__(self, fmt: str, values: tuple[Any, ...]) -> None:
+    def __init__(
+        self, fmt: str, values: tuple[Any, ...], buffer: bytes | None = None
+    ) -> None:
         self._fmt = fmt
         self._values = values
-        self._buffer: bytes | None = None  # tbon: lock=_lock
+        self._buffer: bytes | None = buffer  # tbon: lock=_lock
         self._refcount = 1  # tbon: lock=_lock
         self._lock = make_lock("payload_ref")
-        with GLOBAL_PACKET_STATS._lock:
-            GLOBAL_PACKET_STATS.buffers_live += 1
 
     @property
     def refcount(self) -> int:
@@ -117,16 +154,12 @@ class PayloadRef:
                 raise SerializationError("PayloadRef refcount went negative")
             if self._refcount == 0:
                 self._buffer = None
-                with GLOBAL_PACKET_STATS._lock:
-                    GLOBAL_PACKET_STATS.buffers_live -= 1
 
     def serialize(self) -> bytes:
         """Pack the payload, caching the buffer so packing happens once."""
         with self._lock:
             if self._buffer is None:
-                self._buffer = pack_payload(self._fmt, self._values)
-                with GLOBAL_PACKET_STATS._lock:
-                    GLOBAL_PACKET_STATS.serializations += 1
+                self._buffer = _pack_counted(self._fmt, self._values)
             return self._buffer
 
 
@@ -153,6 +186,7 @@ class Packet:
         "trace",
         "_values",
         "_ref",
+        "_payload",
         "_frame",
         "_frame_hops",
     )
@@ -179,6 +213,7 @@ class Packet:
         vals = tuple(values) if _validated else validate_values(fmt, values)
         self._values = vals
         self._ref: PayloadRef | None = None
+        self._payload: bytes | None = None
         self._frame: bytes | None = None
         self._frame_hops = -1
 
@@ -200,10 +235,26 @@ class Packet:
 
     # -- serialization ---------------------------------------------------
     def payload_ref(self) -> PayloadRef:
-        """Return the shared counted payload reference, creating it lazily."""
+        """Return the shared counted payload reference, creating it lazily.
+
+        Only a multicast asks for one; it adopts the payload bytes if this
+        packet already packed them, and its buffer becomes this packet's
+        payload memo otherwise, so the payload is still packed once.
+        """
         if self._ref is None:
-            self._ref = PayloadRef(self.fmt, self._values)
+            self._ref = PayloadRef(self.fmt, self._values, self._payload)
         return self._ref
+
+    def _payload_bytes(self) -> bytes:
+        body = self._payload
+        if body is None:
+            ref = self._ref
+            if ref is None:
+                body = _pack_counted(self.fmt, self._values)
+            else:
+                body = ref.serialize()
+            self._payload = body
+        return body
 
     def nbytes(self) -> int:
         """Serialized payload size in bytes (without header)."""
@@ -217,84 +268,85 @@ class Packet:
         :meth:`hop`), so the cache is keyed by the hop count at
         serialization time.  A k-way multicast therefore serializes once
         and writes the identical buffer k times — MRNet's serialize-once
-        contract, now covering header bytes as well as the counted
-        payload reference.
+        contract, covering header bytes as well as the payload.  A new
+        hop count re-packs only the header; the payload bytes are
+        memoized separately.
         """
         frame = self._frame
-        if (
-            frame is not None
-            and self._frame_hops == self.hops
-            and FRAME_CACHE_ENABLED
-        ):
+        if frame is not None and self._frame_hops == self.hops:
             if _TEL.enabled:
                 _frame_cache_hits.inc()
             return frame
         if _TEL.enabled:
             _frame_cache_misses.inc()
-        header = pack_payload(
-            HEADER_FMT, (self.stream_id, self.tag, self.src, self.hops, self.fmt)
-        )
-        body = self.payload_ref().serialize()
-        # Inlined pack_payload("%ac %ac", (header, body)) — same bytes,
-        # no per-directive dispatch on the per-frame hot path.
-        if self.trace is None:
-            frame = b"".join(
-                (_LEN.pack(len(header)), header, _LEN.pack(len(body)), body)
+        fmt_raw = _fmt_to_wire(self.fmt)
+        try:
+            header = _HEADER.pack(
+                self.stream_id, self.tag, self.src, self.hops, len(fmt_raw)
             )
-        else:
+        except struct.error as exc:
+            raise SerializationError(f"packet header field out of range: {exc}") from exc
+        body = self._payload_bytes()
+        # Same bytes as pack_payload("%ac %ac", (header, body)), plus the
+        # optional length-prefixed trace section.
+        parts = [
+            _LEN.pack(_HEADER.size + len(fmt_raw)),
+            header,
+            fmt_raw,
+            _LEN.pack(len(body)),
+            body,
+        ]
+        if self.trace is not None:
             tb = self.trace.to_bytes()
-            frame = b"".join(
-                (
-                    _LEN.pack(len(header)),
-                    header,
-                    _LEN.pack(len(body)),
-                    body,
-                    _LEN.pack(len(tb)),
-                    tb,
-                )
-            )
+            parts += (_LEN.pack(len(tb)), tb)
+        frame = b"".join(parts)
         self._frame = frame
         self._frame_hops = self.hops
         return frame
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "Packet":
+    def from_bytes(cls, data: bytes | bytearray | memoryview) -> "Packet":
         """Inverse of :meth:`to_bytes` (accepts any bytes-like buffer).
 
         The frame is two (untraced) or three (traced) length-prefixed
-        sections; the parse is hand-rolled because the trace section is
-        optional, with the same truncation/trailing-byte errors the
-        ``"%ac %ac"`` interpreter path raised.
+        sections.  The input is untrusted: every malformed frame —
+        truncated, with trailing bytes, a header whose lengths disagree,
+        a format string that is not UTF-8 or not a valid format, or a
+        payload or trace section that does not decode — raises
+        :class:`SerializationError` and nothing else.
         """
         mv = memoryview(data)
         total = len(mv)
-        offset = 0
-        sections: list[memoryview] = []
-        for _ in range(2):
-            if offset + 4 > total:
-                raise SerializationError("truncated packet frame")
-            (length,) = _LEN.unpack_from(mv, offset)
-            offset += 4
-            if offset + length > total:
-                raise SerializationError("truncated packet frame")
-            sections.append(mv[offset : offset + length])
-            offset += length
+        if total < 8 + _HEADER.size:
+            raise SerializationError("truncated packet frame")
+        (header_len,) = _LEN.unpack_from(mv, 0)
+        stream_id, tag, src, hops, fmt_len = _HEADER.unpack_from(mv, 4)
+        if header_len != _HEADER.size + fmt_len:
+            raise SerializationError("packet header length does not match its fields")
+        offset = 4 + header_len
+        if offset + 4 > total:
+            raise SerializationError("truncated packet frame")
+        fmt = _fmt_from_wire(bytes(mv[4 + _HEADER.size : offset]))
+        (length,) = _LEN.unpack_from(mv, offset)
+        offset += 4
+        end = offset + length
+        if end > total:
+            raise SerializationError("truncated packet frame")
+        body = mv[offset:end]
         trace: TraceContext | None = None
-        if offset < total:
-            if offset + 4 > total:
+        if end < total:
+            if end + 4 > total:
                 raise SerializationError("truncated packet frame")
-            (length,) = _LEN.unpack_from(mv, offset)
-            offset += 4
-            if offset + length > total:
+            (length,) = _LEN.unpack_from(mv, end)
+            offset = end + 4
+            end = offset + length
+            if end > total:
                 raise SerializationError("truncated packet frame")
-            trace = TraceContext.from_bytes(bytes(mv[offset : offset + length]))
-            offset += length
-        if offset != total:
+            trace = _trace_from_wire(bytes(mv[offset:end]))
+        if end != total:
             raise SerializationError(
-                f"{total - offset} trailing byte(s) after packet frame"
+                f"{total - end} trailing byte(s) after packet frame"
             )
-        header_raw, body = sections
-        stream_id, tag, src, hops, fmt = unpack_payload(HEADER_FMT, header_raw)
         values = unpack_payload(fmt, body)
         return cls(
             stream_id,
@@ -356,6 +408,13 @@ class Packet:
             f"Packet(stream={self.stream_id}, tag={self.tag}, fmt={self.fmt!r}, "
             f"src={self.src}, [{vals}])"
         )
+
+
+def _trace_from_wire(raw: bytes) -> TraceContext:
+    try:
+        return TraceContext.from_bytes(raw)
+    except (struct.error, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise SerializationError(f"malformed trace section: {exc}") from exc
 
 
 def make_packet(

@@ -184,6 +184,8 @@ def _pack_len_bytes(data: bytes) -> bytes:
 
 
 def _unpack_len_bytes(buf: bytes, off: int) -> tuple[bytes, int]:
+    if off + _U32.size > len(buf):
+        raise SerializationError("truncated payload (missing length prefix)")
     (n,) = _U32.unpack_from(buf, off)
     off += _U32.size
     if off + n > len(buf):
@@ -191,6 +193,31 @@ def _unpack_len_bytes(buf: bytes, off: int) -> tuple[bytes, int]:
     # bytes() is a no-op copy for bytes input and materializes memoryview
     # slices (the TCP receive path hands us views over a reused buffer).
     return bytes(buf[off : off + n]), off + n
+
+
+def _utf8(raw: bytes) -> str:
+    """Decode received UTF-8; malformed bytes are a :class:`SerializationError`."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"string payload is not valid UTF-8: {exc}") from exc
+
+
+def _unpack_str(buf: bytes, off: int) -> tuple[str, int]:
+    raw, off = _unpack_len_bytes(buf, off)
+    return _utf8(raw), off
+
+
+def _unpack_char(buf: bytes, off: int) -> tuple[str, int]:
+    if off >= len(buf):
+        raise SerializationError("truncated payload for %c")
+    return bytes(buf[off : off + 1]).decode("latin-1"), off + 1
+
+
+def _unpack_bool(buf: bytes, off: int) -> tuple[bool, int]:
+    if off >= len(buf):
+        raise SerializationError("truncated payload for %b")
+    return buf[off] != 0, off + 1
 
 
 def _pack_array(arr: npt.NDArray[Any]) -> bytes:
@@ -242,7 +269,7 @@ def _unpack_strlist(buf: bytes, off: int) -> tuple[list[str], int]:
     out: list[str] = []
     for _ in range(n):
         raw, off = _unpack_len_bytes(buf, off)
-        out.append(raw.decode("utf-8"))
+        out.append(_utf8(raw))
     return out, off
 
 
@@ -274,13 +301,13 @@ FORMAT_DIRECTIVES: dict[str, Directive] = {
     "c": Directive(
         "c",
         packer=lambda v: v.encode("latin-1"),
-        unpacker=lambda buf, off: (buf[off : off + 1].decode("latin-1"), off + 1),
+        unpacker=_unpack_char,
         checker=_check_char,
     ),
     "b": Directive(
         "b",
         packer=lambda v: b"\x01" if v else b"\x00",
-        unpacker=lambda buf, off: (buf[off] != 0, off + 1),
+        unpacker=_unpack_bool,
         checker=_check_bool,
     ),
     "d": Directive(
@@ -304,11 +331,7 @@ FORMAT_DIRECTIVES: dict[str, Directive] = {
     "s": Directive(
         "s",
         packer=lambda v: _pack_len_bytes(v.encode("utf-8")),
-        unpacker=lambda buf, off: (
-            (lambda raw_off: (raw_off[0].decode("utf-8"), raw_off[1]))(
-                _unpack_len_bytes(buf, off)
-            )
-        ),
+        unpacker=_unpack_str,
         checker=_check_str,
     ),
     "ac": Directive(
@@ -442,7 +465,7 @@ class _FastPath:
             raise SerializationError(
                 f"trailing bytes after payload: consumed {off} of {len(data)}"
             )
-        tail = raw.decode("utf-8") if self.tail == "s" else bytes(raw)
+        tail = _utf8(raw) if self.tail == "s" else raw
         return (*head, tail)
 
     def nbytes(self, fmt: str, values: Sequence[Any]) -> int:

@@ -32,7 +32,9 @@ class WaitForAll(SynchronizationFilter):
     Packets are aligned into *waves*: the i-th packets from each child
     form the i-th batch.  Per-child FIFO queues preserve channel order;
     a wave is released the moment the last missing child's packet for
-    that wave arrives.
+    that wave arrives.  A push costs O(1): the filter counts its
+    non-empty queues instead of scanning them, and keeps the children
+    sorted (batch order) instead of sorting per wave.
     """
 
     name = "wait_for_all"
@@ -40,26 +42,51 @@ class WaitForAll(SynchronizationFilter):
     def __init__(self, **params: Any):
         super().__init__(**params)
         self._queues: dict[int, deque[Packet]] = {}
-        self._known_children: set[int] = set()
+        self._order: list[int] = []  # sorted(self._queues)
+        self._nonempty = 0  # queues holding at least one packet
 
     def push(self, packet: Packet, child: int, ctx: FilterContext) -> list[list[Packet]]:
-        self._queues.setdefault(child, deque()).append(packet)
-        self._known_children.add(child)
+        q = self._queues.get(child)
+        if q is None:
+            q = self._queues[child] = deque()
+            self._order = sorted(self._queues)
+        if not q:
+            self._nonempty += 1
+        q.append(packet)
+        if self._nonempty < len(self._queues) or len(self._queues) < ctx.n_children:
+            return []
+        return self._release_waves()
+
+    def _release_waves(self) -> list[list[Packet]]:
+        """Pop complete waves while every known child has a packet queued.
+
+        The caller has checked that the known children cover the node's
+        ``n_children``.
+        """
+        queues = self._queues
+        order = self._order
         batches: list[list[Packet]] = []
-        while len(self._queues) >= ctx.n_children and all(
-            q for q in self._queues.values()
-        ):
-            batches.append([self._queues[c].popleft() for c in sorted(self._queues)])
+        while self._nonempty == len(queues):
+            batch: list[Packet] = []
+            for c in order:
+                q = queues[c]
+                batch.append(q.popleft())
+                if not q:
+                    self._nonempty -= 1
+            batches.append(batch)
         return batches
+
+    def _reindex(self) -> None:
+        self._order = sorted(self._queues)
+        self._nonempty = sum(1 for q in self._queues.values() if q)
 
     def flush(self, ctx: FilterContext) -> list[list[Packet]]:
         """Release leftover partial waves (e.g. at stream close)."""
         batches: list[list[Packet]] = []
-        while any(q for q in self._queues.values()):
-            batch = [
-                self._queues[c].popleft() for c in sorted(self._queues) if self._queues[c]
-            ]
-            batches.append(batch)
+        queues = self._queues
+        while any(queues.values()):
+            batches.append([queues[c].popleft() for c in self._order if queues[c]])
+        self._reindex()
         return batches
 
     def recheck(self, ctx: FilterContext, covering: tuple[int, ...]) -> list[list[Packet]]:
@@ -73,14 +100,10 @@ class WaitForAll(SynchronizationFilter):
         for child in list(self._queues):
             if child not in alive:
                 del self._queues[child]
-        batches: list[list[Packet]] = []
-        while (
-            self._queues
-            and len(self._queues) >= ctx.n_children
-            and all(q for q in self._queues.values())
-        ):
-            batches.append([self._queues[c].popleft() for c in sorted(self._queues)])
-        return batches
+        self._reindex()
+        if not self._queues or len(self._queues) < ctx.n_children:
+            return []
+        return self._release_waves()
 
     def pending_count(self) -> int:
         return sum(len(q) for q in self._queues.values())

@@ -8,23 +8,28 @@ rank-hello bind handshake, the same serialize-once multicast — but drives
 every socket from a **single** I/O thread:
 
 * **Read side** — sockets are non-blocking, so reads are partial by
-  nature; :class:`_FrameDecoder` turns PR 1's ``recv_into`` buffer
-  discipline into an explicit state machine (header state, then body
-  state) over reusable buffers.  Small frames are read in bulk — one
-  ``recv`` into a per-connection scratch buffer can carry hundreds of
-  frames, which are fed through the decoder from memory and delivered
-  to the rank's inbox as one batch (:meth:`Inbox.put_many`); large
-  bodies are received straight into the decoder's body buffer to avoid
-  the extra copy.  A completed frame is parsed with
-  :meth:`Packet.from_bytes` over a view, exactly like the threaded
-  reader.
+  nature.  Each connection keeps one receive buffer (:data:`_BULK_DIRECT`
+  bytes).  ``recv_into`` fills its free tail; one parse loop then hands
+  every whole frame in it to :meth:`Packet.from_bytes` as a view at its
+  offset, and the completed frames of one read go to the rank's inbox as
+  one batch (:meth:`Inbox.put_many`).  The bytes of a trailing partial
+  frame move to the front of the buffer.  A frame larger than the buffer
+  grows it to fit; once that frame has been delivered the buffer shrinks
+  back to the default size.  A read that leaves free space ends the drain: the
+  selector is level-triggered and reports the socket again if more
+  arrived.  A malformed frame raises :class:`SerializationError` and
+  drops only its own connection.
 * **Write side** — ``send()`` never touches the socket.  It packs the
   9-byte frame header, appends ``(header, body)`` to the peer's bounded
-  send queue and wakes the reactor (one wakeup byte per queue
-  *transition*, not per frame).  The reactor drains a queue with a single
-  vectored ``sendmsg`` of up to :attr:`Reactor.coalesce_max` coalesced
-  frames, and keeps ``EVENT_WRITE`` interest registered only while the
-  queue is non-empty, so an idle tree polls nothing.
+  send queue and, on the queue's empty→non-empty transition, asks the
+  reactor to flush it.  At most one wakeup byte is outstanding: a
+  producer writes it only when no wakeup is already pending, and the
+  reactor clears the flag as it drains the wakeup socket, so a burst of
+  sends from many queues costs one wakeup per loop pass.  The reactor
+  drains a queue with a single vectored ``sendmsg`` of up to
+  :attr:`Reactor.coalesce_max` coalesced frames, and keeps
+  ``EVENT_WRITE`` interest registered only while the queue is
+  non-empty, so an idle tree polls nothing.
 * **Backpressure** — the per-peer queue is bounded.  At the high-water
   mark ``send()`` blocks on a condition until the reactor drains frames
   (backpressure propagates to the producing node), or fails fast with
@@ -72,9 +77,9 @@ __all__ = ["ReactorTransport", "Reactor"]
 
 _LOG = logging.getLogger(__name__)
 
-#: Body remainders at least this big are received straight into the
-#: decoder's body buffer; smaller reads go through the per-connection
-#: scratch buffer so one ``recv`` can carry a whole burst of frames.
+#: Default size of a connection's receive buffer: one ``recv`` can carry
+#: a whole burst of small frames.  A larger frame grows the buffer for
+#: as long as it is being received.
 _BULK_DIRECT = 65536
 
 # Process-wide reactor instruments (GLOBAL registry, created at import so
@@ -133,70 +138,8 @@ def _nb_wake_send(sock: socket.socket) -> None:
         pass  # torn down concurrently with shutdown
 
 
-class _FrameDecoder:
-    """Incremental state machine over the shared frame format.
-
-    Usage from the reactor loop::
-
-        view = decoder.recv_view()      # where the next recv_into lands
-        n = _nb_recv_into(sock, view)
-        frame = decoder.advance(n)      # (dir_code, src, body_view) | None
-
-    Two states: filling the 9-byte header, then filling the body whose
-    length the header announced.  The body buffer is reused across frames
-    (grown to the largest frame seen), so steady-state decoding allocates
-    nothing beyond the kernel's copy — PR 1's ``recv_into`` discipline
-    carried over to partial, non-blocking reads.  The returned body view
-    is only valid until the next ``advance`` that re-enters body state;
-    :meth:`Packet.from_bytes` copies what it keeps, same as the threaded
-    reader.
-    """
-
-    __slots__ = ("_hdr", "_body", "_got", "_length", "_dir", "_src", "_in_body")
-
-    def __init__(self) -> None:
-        self._hdr = bytearray(_HDR.size)
-        self._body = bytearray(65536)
-        self._got = 0
-        self._length = 0
-        self._dir = 0
-        self._src = 0
-        self._in_body = False
-
-    def recv_view(self) -> memoryview:
-        """The slice of the current buffer still waiting for bytes."""
-        if self._in_body:
-            return memoryview(self._body)[self._got : self._length]
-        return memoryview(self._hdr)[self._got :]
-
-    def advance(self, n: int) -> Optional[tuple[int, int, memoryview]]:
-        """Consume ``n`` bytes just written into :meth:`recv_view`.
-
-        Returns a completed ``(dir_code, src, body_view)`` frame, or
-        ``None`` while the frame is still partial.
-        """
-        self._got += n
-        if not self._in_body:
-            if self._got < _HDR.size:
-                return None
-            self._length, self._dir, self._src = _HDR.unpack(self._hdr)
-            if self._length > len(self._body):
-                self._body = bytearray(self._length)
-            self._got = 0
-            self._in_body = True
-            if self._length > 0:
-                return None
-            # Degenerate zero-length body: the frame is already complete.
-        if self._got < self._length:
-            return None
-        view = memoryview(self._body)[: self._length]
-        self._got = 0
-        self._in_body = False
-        return (self._dir, self._src, view)
-
-
 class _ReactorConnection:
-    """One non-blocking socket in the reactor: decoder + bounded send queue.
+    """One non-blocking socket in the reactor: receive buffer + bounded send queue.
 
     Producer threads only touch :meth:`enqueue`; ``handle_read`` /
     ``handle_write`` run exclusively on the reactor thread (plus tests
@@ -210,7 +153,6 @@ class _ReactorConnection:
         self.inbox = inbox
         self.owner_rank = owner_rank
         self.reactor = reactor
-        self.decoder = _FrameDecoder()
         self._lock = make_lock("reactor_sendq")
         self._ready = threading.Condition(self._lock)
         # Pending (header, body) frames; depth counts queued + in-flight
@@ -225,8 +167,12 @@ class _ReactorConnection:
         # Partially written sendmsg vector (reactor thread only).
         self._inflight: list[memoryview] = []
         self._inflight_frames = 0
-        # Bulk-read landing zone (reactor thread only).
-        self._scratch = memoryview(bytearray(_BULK_DIRECT))
+        # Whether EVENT_WRITE is registered (reactor thread only).
+        self.write_interest = False
+        # Receive buffer; bytes [0, _rx_end) are a partial frame
+        # (reactor thread only).
+        self._rx = bytearray(_BULK_DIRECT)
+        self._rx_end = 0
         sock.setblocking(False)
 
     # -- producer side (any thread) ------------------------------------------
@@ -279,70 +225,78 @@ class _ReactorConnection:
     def handle_read(self) -> None:
         """Drain readable bytes, delivering every completed frame.
 
-        Two read strategies per the module docstring: a body with at
-        least :data:`_BULK_DIRECT` bytes outstanding is received straight
-        into the decoder's body buffer (no extra copy); everything else
-        goes through one bulk ``recv`` into the scratch buffer, which is
-        then fed through the decoder frame by frame — at 64-byte payloads
-        that is two syscalls and one inbox lock round-trip for a burst
-        that previously cost two syscalls and a lock *per frame*.
+        One ``recv_into`` fills the free tail of the receive buffer and
+        every whole frame in it is delivered (:meth:`_deliver`).  At
+        64-byte payloads one read carries hundreds of frames for one
+        syscall and one inbox lock round-trip.  A read that fills the
+        buffer may have left bytes in the socket, so the drain goes on;
+        a shorter read ends it.
         """
-        decoder = self.decoder
-        scratch = self._scratch
         while True:
-            view = decoder.recv_view()
-            if len(view) >= _BULK_DIRECT:
-                n = _nb_recv_into(self.sock, view)
-                if n is None:
-                    return
-                if n == 0:
-                    raise ConnectionError("peer closed")
-                frame = decoder.advance(n)
-                if frame is not None:
-                    self._deliver_one(frame)
-                continue
-            n = _nb_recv_into(self.sock, scratch)
+            buf = self._rx
+            end = self._rx_end
+            free = len(buf) - end
+            view = memoryview(buf)
+            n = _nb_recv_into(self.sock, view[end:])
             if n is None:
                 return
             if n == 0:
                 raise ConnectionError("peer closed")
-            batch: list[Envelope] = []
-            off = 0
-            while off < n:
-                view = decoder.recv_view()
-                take = len(view)
-                if take > n - off:
-                    take = n - off
-                view[:take] = scratch[off : off + take]
-                off += take
-                frame = decoder.advance(take)
-                if frame is not None:
-                    dir_code, src, body = frame
-                    batch.append(
-                        Envelope(
-                            src=src,
-                            direction=Direction.from_wire(dir_code),
-                            packet=Packet.from_bytes(body),
-                        )
+            end += n
+            off = self._deliver(view, end)
+            self._keep_partial(buf, off, end)
+            if n < free:
+                return
+
+    def _deliver(self, view: memoryview, end: int) -> int:
+        """Parse every whole frame in ``view[:end]`` in place and put the
+        packets in the inbox as one batch; returns the bytes consumed.
+
+        A malformed frame raises :class:`SerializationError` after the
+        frames before it have been delivered.
+        """
+        batch: list[Envelope] = []
+        off = 0
+        hsize = _HDR.size
+        try:
+            while end - off >= hsize:
+                length, dir_code, src = _HDR.unpack_from(view, off)
+                stop = off + hsize + length
+                if stop > end:
+                    break
+                batch.append(
+                    Envelope(
+                        src=src,
+                        direction=Direction.from_wire(dir_code),
+                        packet=Packet.from_bytes(view[off + hsize : stop]),
                     )
-                    if _TEL.enabled:
-                        _m_rx_bytes.inc(_HDR.size + len(body))
+                )
+                off = stop
+        finally:
             if len(batch) == 1:
                 self.inbox.put(batch[0])
             elif batch:
                 self.inbox.put_many(batch)
+            if _TEL.enabled and off:
+                _m_rx_bytes.inc(off)
+        return off
 
-    def _deliver_one(self, frame: tuple[int, int, memoryview]) -> None:
-        dir_code, src, body = frame
-        self.inbox.put(
-            Envelope(
-                src=src,
-                direction=Direction.from_wire(dir_code),
-                packet=Packet.from_bytes(body),
-            )
-        )
-        if _TEL.enabled:
-            _m_rx_bytes.inc(_HDR.size + len(body))
+    def _keep_partial(self, buf: bytearray, off: int, end: int) -> None:
+        """Move the partial frame in ``buf[off:end]`` to the front of a
+        receive buffer big enough to finish it."""
+        rest = end - off
+        size = _BULK_DIRECT
+        if rest >= _HDR.size:
+            size = max(size, _HDR.size + _HDR.unpack_from(buf, off)[0])
+        if size != len(buf):
+            # Grow for an oversized frame, or shrink back once the last
+            # oversized frame has been consumed.
+            new = bytearray(size)
+            new[:rest] = buf[off:end]
+            self._rx = new
+        elif rest and off:
+            buf[:rest] = buf[off:end]
+        self._rx_end = rest
 
     def handle_write(self) -> None:
         """Flush queued frames: coalesced vectored writes until EAGAIN."""
@@ -416,7 +370,9 @@ class Reactor:
     Producer threads never touch the selector; they append to the
     pending-write list and poke the wakeup pipe (:meth:`request_write`),
     and the reactor thread applies the interest changes itself — selector
-    mutation stays single-threaded once the loop runs.
+    mutation stays single-threaded once the loop runs.  A producer writes
+    the wakeup byte only when no wakeup is pending yet (``_wake_pending``),
+    so the pipe holds at most one byte per loop pass.
     """
 
     def __init__(self, *, coalesce_max: int = 32, name: str = "tbon-reactor-io"):
@@ -432,6 +388,9 @@ class Reactor:
         self._pending: list[_ReactorConnection] = []  # tbon: lock=_plock
         self._pending_register: list[_ReactorConnection] = []  # tbon: lock=_plock
         self._pending_drop: list[_ReactorConnection] = []  # tbon: lock=_plock
+        # True from the first wakeup byte written until the loop drains it.
+        self._wake_pending = False  # tbon: lock=_plock
+        self._wake_buf = bytearray(64)
         self._conns: list[_ReactorConnection] = []
         self._closing = threading.Event()
         self._started = False
@@ -461,7 +420,10 @@ class Reactor:
             return
         with self._plock:
             self._pending_register.append(conn)
-        _nb_wake_send(self._wake_w)
+            wake = not self._wake_pending
+            self._wake_pending = True
+        if wake:
+            _nb_wake_send(self._wake_w)
 
     def drop_live(self, conn: _ReactorConnection) -> None:
         """Detach ``conn`` from the running loop and close it (any thread).
@@ -484,28 +446,40 @@ class Reactor:
         conn.mark_closed()  # sends fail fast from this point on
         with self._plock:
             self._pending_drop.append(conn)
-        _nb_wake_send(self._wake_w)
+            wake = not self._wake_pending
+            self._wake_pending = True
+        if wake:
+            _nb_wake_send(self._wake_w)
 
     # -- producer-facing wakeup ----------------------------------------------
     def request_write(self, conn: _ReactorConnection) -> None:
         """Ask the loop to arm EVENT_WRITE for ``conn`` (any thread)."""
         with self._plock:
             self._pending.append(conn)
-        _nb_wake_send(self._wake_w)
+            wake = not self._wake_pending
+            self._wake_pending = True
+        if wake:
+            _nb_wake_send(self._wake_w)
 
     # -- reactor thread ------------------------------------------------------
     def set_write_interest(self, conn: _ReactorConnection, on: bool) -> None:
+        if conn.write_interest == on:
+            return
         events = selectors.EVENT_READ | (selectors.EVENT_WRITE if on else 0)
         try:
             self._selector.modify(conn.sock, events, conn)
         except (KeyError, ValueError, OSError):
-            pass  # connection already unregistered (teardown race)
+            return  # connection already unregistered (teardown race)
+        conn.write_interest = on
 
     def _drain_wakeups(self) -> None:
-        buf = memoryview(bytearray(4096))
-        while _nb_recv_into(self._wake_r, buf):
-            pass
+        # At most one byte per pass is pending (plus one from stop()), so
+        # one recv empties the pipe.  The flag clears after the read: a
+        # producer that queues work after the swap below writes a new
+        # byte, and one that queued before it is picked up by this pass.
+        _nb_recv_into(self._wake_r, memoryview(self._wake_buf))
         with self._plock:
+            self._wake_pending = False
             drops, self._pending_drop = self._pending_drop, []
             registers, self._pending_register = self._pending_register, []
             pending, self._pending = self._pending, []

@@ -1,11 +1,11 @@
 """Reactor-transport tests: frame decoding, coalescing, backpressure, trees.
 
 The reactor multiplexes every TCP channel onto one selector thread
-(src/repro/transport/reactor.py).  These tests drive the three layers
-separately — the :class:`_FrameDecoder` state machine byte by byte, a
-single :class:`_ReactorConnection` over a socketpair with the loop
-stopped (so queue/drain behaviour is deterministic), and whole live
-trees under both ``TBON_TRANSPORT`` modes.
+(src/repro/transport/reactor.py).  These tests drive a single
+:class:`_ReactorConnection` over a socketpair with the loop stopped (so
+read, queue and drain behaviour is deterministic), a live transport fed
+malformed frames, and whole live trees under both ``TBON_TRANSPORT``
+modes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,12 @@ from repro.core.events import Direction
 from repro.core.packet import Packet
 from repro.telemetry.registry import GLOBAL, SIZE_BOUNDS, disable, enable
 from repro.transport.base import Inbox
-from repro.transport.reactor import Reactor, ReactorTransport, _FrameDecoder, _ReactorConnection
+from repro.transport.reactor import (
+    _BULK_DIRECT,
+    Reactor,
+    ReactorTransport,
+    _ReactorConnection,
+)
 from repro.transport.tcp import _HDR, TCPTransport
 from conftest import send_from_all
 
@@ -59,61 +64,68 @@ def conn_pair():
     b.close()
 
 
+def drain_inbox(inbox: Inbox) -> list:
+    out = []
+    while inbox.qsize():
+        out.append(inbox.get(timeout=1))
+    return out
+
+
 class TestFrameDecoder:
-    def test_one_byte_at_a_time(self):
+    """Frame decoding by the read loop, ``_ReactorConnection.handle_read``."""
+
+    def test_one_byte_at_a_time(self, conn_pair):
+        conn, peer, inbox = conn_pair
         pkt = Packet(1, TAG, "%d %s", (7, "hello"))
         raw = wire_frame(pkt)
-        dec = _FrameDecoder()
-        frames = []
         for i in range(len(raw)):
-            view = dec.recv_view()
-            assert len(view) > 0
-            view[0:1] = raw[i : i + 1]
-            out = dec.advance(1)
-            if out is not None:
-                frames.append(out)
-                assert i == len(raw) - 1, "frame completed before the last byte"
-        assert len(frames) == 1
-        dir_code, src, body = frames[0]
-        assert dir_code == Direction.UPSTREAM.wire_code
-        assert src == 3
-        out_pkt = Packet.from_bytes(body)
-        assert out_pkt.values == (7, "hello")
+            peer.sendall(raw[i : i + 1])
+            conn.handle_read()
+            if i < len(raw) - 1:
+                assert inbox.qsize() == 0, f"frame completed early at byte {i}"
+                assert conn._rx_end == i + 1
+        (env,) = drain_inbox(inbox)
+        assert env.direction is Direction.UPSTREAM
+        assert env.src == 3
+        assert env.packet.values == (7, "hello")
+        assert conn._rx_end == 0
 
-    def test_back_to_back_frames_arbitrary_chunks(self):
+    def test_back_to_back_frames_arbitrary_chunks(self, conn_pair):
+        conn, peer, inbox = conn_pair
         pkts = [Packet(1, TAG, "%d", (i,)) for i in range(5)]
         raw = b"".join(wire_frame(p, Direction.DOWNSTREAM, src=i) for i, p in enumerate(pkts))
-        decoded = []
         # Prime-sized chunks so frame boundaries never align with reads.
         for chunk_size in (1, 3, 7, 11, len(raw)):
-            dec = _FrameDecoder()
             decoded = []
-            pos = 0
-            while pos < len(raw):
-                view = dec.recv_view()
-                n = min(len(view), chunk_size, len(raw) - pos)
-                view[:n] = raw[pos : pos + n]
-                pos += n
-                out = dec.advance(n)
-                if out is not None:
-                    dir_code, src, body = out
-                    decoded.append((src, Packet.from_bytes(body).values))
+            for pos in range(0, len(raw), chunk_size):
+                peer.sendall(raw[pos : pos + chunk_size])
+                conn.handle_read()
+                decoded += [(e.src, e.packet.values) for e in drain_inbox(inbox)]
             assert decoded == [(i, (i,)) for i in range(5)], f"chunk={chunk_size}"
+            assert conn._rx_end == 0
 
-    def test_large_frame_grows_buffer(self):
+    def test_large_frame_grows_buffer(self, conn_pair):
+        conn, peer, inbox = conn_pair
         pkt = Packet(1, TAG, "%s", ("x" * 300_000,))
-        raw = wire_frame(pkt)
-        dec = _FrameDecoder()
-        pos = 0
-        out = None
-        while pos < len(raw):
-            view = dec.recv_view()
-            n = min(len(view), 65536, len(raw) - pos)
-            view[:n] = raw[pos : pos + n]
-            pos += n
-            out = dec.advance(n)
-        assert out is not None
-        assert Packet.from_bytes(out[2]).values == pkt.values
+        small = Packet(1, TAG, "%d", (9,))
+        raw = wire_frame(pkt) + wire_frame(small)
+        assert len(raw) > 4 * _BULK_DIRECT
+        # The frame is larger than the socket buffer, so a writer thread
+        # feeds it while handle_read drains whatever has arrived.
+        writer = threading.Thread(target=peer.sendall, args=(raw,), daemon=True)
+        writer.start()
+        got = []
+        grown = 0
+        deadline = time.monotonic() + 10
+        while len(got) < 2 and time.monotonic() < deadline:
+            conn.handle_read()
+            grown = max(grown, len(conn._rx))
+            got += drain_inbox(inbox)
+        writer.join(5)
+        assert [e.packet.values for e in got] == [pkt.values, small.values]
+        assert grown >= len(wire_frame(pkt))
+        assert len(conn._rx) == _BULK_DIRECT, "buffer not shrunk after the large frame"
+        assert conn._rx_end == 0
 
     def test_socketpair_one_byte_at_a_time(self, conn_pair):
         """Satellite requirement: a frame fed byte by byte through a real
@@ -132,6 +144,47 @@ class TestFrameDecoder:
         assert env.direction is Direction.DOWNSTREAM
         assert env.src == -1
         assert inbox.qsize() == 0
+
+
+def bad_fmt_frame() -> bytes:
+    """A frame whose header format string is not UTF-8."""
+    body = bytearray(Packet(1, TAG, "%d", (5,)).to_bytes())
+    at = body.index(b"%d")
+    body[at : at + 2] = b"\xff\xfe"
+    return _HDR.pack(len(body), Direction.UPSTREAM.wire_code, 1) + bytes(body)
+
+
+def bad_direction_frame() -> bytes:
+    body = Packet(1, TAG, "%d", (5,)).to_bytes()
+    return _HDR.pack(len(body), 7, 1) + body
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("make_frame", [bad_fmt_frame, bad_direction_frame])
+    def test_bad_frame_drops_only_its_connection(self, make_frame):
+        transport = ReactorTransport()
+        topo = flat_topology(2)
+        transport.bind(topo)
+        try:
+            a, b = topo.children(0)
+            good = Packet(1, TAG, "%d", (1,))
+            # A valid frame just before the bad one in the same read still
+            # arrives; the bad frame then closes edge a->0.
+            transport._conns[(a, 0)].sock.sendall(wire_frame(good, src=a) + make_frame())
+            inbox = transport.inbox(0)
+            env = inbox.get(timeout=5)
+            assert env.src == a and env.packet.values == (1,)
+            dropped = transport._conns[(0, a)]
+            deadline = time.monotonic() + 5
+            while not dropped.closed:
+                assert time.monotonic() < deadline, "bad connection never dropped"
+                time.sleep(0.01)
+            assert transport._reactor._thread.is_alive()
+            transport.send(b, 0, Direction.UPSTREAM, Packet(1, TAG, "%d", (2,)))
+            env = inbox.get(timeout=5)
+            assert env.src == b and env.packet.values == (2,)
+        finally:
+            transport.shutdown()
 
 
 class TestWriteCoalescing:

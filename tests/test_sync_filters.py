@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import FilterError
 from repro.core.filters import FilterContext
@@ -89,6 +93,79 @@ class TestWaitForAll:
 
     def test_no_deadline(self):
         assert WaitForAll().next_deadline() is None
+
+
+class NaiveWaitForAll:
+    """Reference model: per-child FIFOs, every check scans every child."""
+
+    def __init__(self):
+        self.queues = {}
+
+    def _waves(self, n_children):
+        out = []
+        while (
+            self.queues
+            and len(self.queues) >= n_children
+            and all(self.queues.values())
+        ):
+            out.append([self.queues[c].popleft() for c in sorted(self.queues)])
+        return out
+
+    def push(self, packet, child, n_children):
+        self.queues.setdefault(child, deque()).append(packet)
+        return self._waves(n_children)
+
+    def flush(self):
+        out = []
+        while any(self.queues.values()):
+            out.append(
+                [self.queues[c].popleft() for c in sorted(self.queues) if self.queues[c]]
+            )
+        return out
+
+    def recheck(self, covering, n_children):
+        for child in list(self.queues):
+            if child not in covering:
+                del self.queues[child]
+        return self._waves(n_children)
+
+
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 5)),
+        st.tuples(st.just("flush"), st.just(())),
+        st.tuples(
+            st.just("recheck"),
+            st.frozensets(st.integers(0, 5), max_size=6).map(lambda c: tuple(sorted(c))),
+        ),
+    ),
+    max_size=60,
+)
+
+
+class TestWaitForAllModel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), _ops)
+    def test_matches_naive_per_child_fifo(self, n_children, ops):
+        """Children appear late, flush releases partial waves, and recheck
+        removes children (and shrinks the expected width, as recovery does)."""
+        f = WaitForAll()
+        model = NaiveWaitForAll()
+        width = n_children
+        for i, (op, arg) in enumerate(ops):
+            if op == "push":
+                p = pkt(i, arg)
+                got = f.push(p, arg, mk_ctx(width))
+                want = model.push(p, arg, width)
+            elif op == "flush":
+                got = f.flush(mk_ctx(width))
+                want = model.flush()
+            else:
+                width = max(1, min(width, len(arg)))
+                got = f.recheck(mk_ctx(width), arg)
+                want = model.recheck(arg, width)
+            assert [[p.seq for p in b] for b in got] == [[p.seq for p in b] for b in want]
+            assert f.pending_count() == sum(len(q) for q in model.queues.values())
 
 
 class TestTimeOut:
